@@ -9,11 +9,14 @@ use hard::{
     DirectoryHardMachine, HardConfig, HardMachine, HbMachine, HbMachineConfig, HybridMachine,
 };
 use hard_bloom::LaneKernel;
-use hard_harness::{race_free_trace, CampaignConfig};
+use hard_harness::{
+    execute_hardened_cell, race_free_trace, CampaignConfig, CellTrace, DetectorKind, RunLimits,
+};
 use hard_hb::{IdealHappensBefore, IdealHbConfig};
 use hard_lockset::{IdealLockset, IdealLocksetConfig};
-use hard_trace::{run_detector, run_detector_batched, run_detector_streamed, PackedTrace, Trace};
+use hard_trace::{run_detector, run_detector_batched, PackedTrace, Trace};
 use hard_workloads::App;
+use std::sync::Arc;
 
 fn trace(app: App) -> Trace {
     race_free_trace(app, &CampaignConfig::reduced(0.2, 1))
@@ -115,35 +118,25 @@ fn bench_full_app(c: &mut Criterion) {
 }
 
 /// Materialized vs. packed replay: the same trace driven through the
-/// HARD machine from a `Vec<Event>` and from the 16-byte-record corpus
-/// encoding. The packed path unpacks on the fly, so this prices the
-/// zero-copy streaming replay against the heap-resident baseline.
+/// HARD detector from a `Vec<Event>` and from the 16-byte-record corpus
+/// encoding, both through the runner's dispatch core. The packed path
+/// unpacks on the fly, so this prices the zero-copy streaming replay
+/// against the heap-resident baseline.
 fn bench_replay_paths(c: &mut Criterion) {
     let t = trace(App::WaterNsquared);
     let packed = PackedTrace::from_trace(&t).expect("generated traces always pack");
+    let kind = DetectorKind::hard_default();
     let mut g = c.benchmark_group("replay/water-nsquared");
     g.sample_size(15);
     g.throughput(criterion::Throughput::Elements(t.len() as u64));
-    g.bench_function("materialized", |b| {
-        b.iter_batched(
-            || HardMachine::new(HardConfig::default()),
-            |mut m| {
-                run_detector(&mut m, &t);
-                m
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("packed-streamed", |b| {
-        b.iter_batched(
-            || HardMachine::new(HardConfig::default()),
-            |mut m| {
-                run_detector_streamed(&mut m, &packed);
-                m
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    for (name, cell) in [
+        ("materialized", CellTrace::Materialized(t)),
+        ("packed-streamed", CellTrace::Packed(Arc::new(packed))),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| execute_hardened_cell(&kind, &cell, &[], RunLimits::unlimited()))
+        });
+    }
     g.finish();
 }
 

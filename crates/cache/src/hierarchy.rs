@@ -235,22 +235,6 @@ impl<F: MetaFactory> Hierarchy<F> {
         self.l1[core.index()].probe(addr).map(|l| &mut l.meta)
     }
 
-    /// [`Hierarchy::meta_mut`] with the L1 line address and set index
-    /// already computed by the batch kernel's line pre-pass
-    /// ([`CacheGeometry::line_and_set`]). Performs the same single LRU
-    /// probe as `meta_mut`, so substituting one for the other leaves
-    /// every replacement decision bit-identical.
-    pub fn meta_mut_prepared(
-        &mut self,
-        core: CoreId,
-        line_addr: Addr,
-        set: usize,
-    ) -> Option<&mut F::Meta> {
-        self.l1[core.index()]
-            .probe_prepared(line_addr, set)
-            .map(|l| &mut l.meta)
-    }
-
     /// Read access to `core`'s copy of the metadata for `addr`'s line.
     #[must_use]
     pub fn meta(&self, core: CoreId, addr: Addr) -> Option<&F::Meta> {
@@ -298,17 +282,6 @@ impl<F: MetaFactory> Hierarchy<F> {
         self.obs.counter(CounterId::BroadcastsSent, 1);
         self.obs.emit(|| Event::Broadcast { line: l1_line.0 });
         Ok(())
-    }
-
-    /// Pushes `core`'s metadata for `addr`'s line down to the L2 copy
-    /// without a broadcast (used by the directory variant and tests).
-    pub fn writeback_meta(&mut self, core: CoreId, addr: Addr) {
-        if let Some(meta) = self.l1[core.index()].peek(addr).map(|l| l.meta.clone()) {
-            let l1_line = self.cfg.l1.line_of(addr);
-            if let Some(slot) = self.l2_slot_mut(l1_line) {
-                *slot = Some(meta);
-            }
-        }
     }
 
     /// Applies `f` to the metadata of every valid L1 and L2 line

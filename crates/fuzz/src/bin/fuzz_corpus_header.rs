@@ -7,7 +7,7 @@
 //! produce `Err`, never a panic, and an accepted header's payload
 //! offset stays inside the input.
 
-use hard_harness::corpus::{encode_bytes, parse_header};
+use hard_harness::corpus::{encode_bytes, header_len, parse_header};
 use hard_trace::PackedTrace;
 use std::process::ExitCode;
 
@@ -16,6 +16,11 @@ fn target(data: &[u8]) {
         assert!(
             payload_at <= data.len(),
             "accepted header points past the input"
+        );
+        assert_eq!(
+            header_len(data),
+            Some(payload_at),
+            "serve's header-completion test must agree with the parser"
         );
         // Field reads must have been bounds-checked, not wrapped.
         let _ = header.num_threads;

@@ -769,15 +769,7 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
                     header.num_threads as usize,
                     &mut reader,
                 )?;
-                if events != header.events {
-                    return Err(format!(
-                        "stream ended after {events} of {} events",
-                        header.events
-                    ));
-                }
-                if fnv != header.payload_fnv {
-                    return Err("payload checksum mismatch after replay".into());
-                }
+                header.verify(events, fnv)?;
                 (events as usize, run.reports)
             } else {
                 let f =

@@ -281,6 +281,36 @@ pub struct StreamHeader {
     pub payload_fnv: u64,
 }
 
+impl StreamHeader {
+    /// Checks a fully replayed payload against this header: the event
+    /// count first, then the payload checksum.
+    ///
+    /// # Errors
+    ///
+    /// Names the mismatch.
+    pub fn verify(&self, events: u64, payload_fnv: u64) -> Result<(), String> {
+        if events != self.events {
+            return Err(format!(
+                "stream ended after {events} of {} events",
+                self.events
+            ));
+        }
+        if payload_fnv != self.payload_fnv {
+            return Err("payload checksum mismatch after replay".into());
+        }
+        Ok(())
+    }
+}
+
+/// The full length of the `HARDCRP1` header that `prefix` starts,
+/// known once its fixed 24-byte part (through `inj_len`) has arrived;
+/// `None` before that.
+#[must_use]
+pub fn header_len(prefix: &[u8]) -> Option<usize> {
+    let inj_len = u32::from_le_bytes(prefix.get(20..24)?.try_into().ok()?) as usize;
+    24usize.checked_add(inj_len)?.checked_add(16)
+}
+
 /// Parses and checksums a `HARDCRP1` header, returning it plus the
 /// payload offset. Public because `hard-serve` ingests the same
 /// format over the wire and must validate the header before detection
@@ -304,11 +334,9 @@ pub fn parse_header(bytes: &[u8]) -> Result<(StreamHeader, usize), String> {
     }
     let num_threads = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let events = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let inj_len = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-    let header_end = 24usize
-        .checked_add(inj_len)
-        .and_then(|n| n.checked_add(16))
-        .ok_or("absurd injection length")?;
+    let header_end = header_len(bytes).ok_or("absurd injection length")?;
+    // The 24-byte prefix and the two 8-byte checksums frame the injection.
+    let inj_len = header_end - 40;
     need(header_end)?;
     let injection = if inj_len == 0 {
         None
@@ -406,8 +434,8 @@ pub fn read_file(path: &Path) -> Result<(Arc<PackedTrace>, Option<Injection>), S
 
 /// Opens a corpus file for streaming: validates the header, then hands
 /// back a [`ChunkedReader`] positioned at the first record. The caller
-/// must fold [`codec::fnv1a_update`] over the chunks and compare with
-/// [`StreamHeader::payload_fnv`] once the stream ends.
+/// must check the replayed stream with [`StreamHeader::verify`] once
+/// it ends.
 ///
 /// # Errors
 ///
@@ -415,24 +443,13 @@ pub fn read_file(path: &Path) -> Result<(Arc<PackedTrace>, Option<Injection>), S
 pub fn open_streamed(path: &Path) -> Result<(StreamHeader, ChunkedReader), String> {
     let mut f =
         std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    // The header is tiny (tens of bytes); read generously, then reopen
-    // the payload at its exact offset via a second handle-free seek.
-    let mut head = vec![0u8; 4096];
-    let mut filled = 0;
-    loop {
-        match f.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                if filled == head.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        }
-    }
-    head.truncate(filled);
+    // The header is tiny (tens of bytes); read generously, then seek
+    // back to the payload's exact offset.
+    let mut head = Vec::new();
+    (&mut f)
+        .take(4096)
+        .read_to_end(&mut head)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let (header, payload_at) = parse_header(&head)?;
     use std::io::Seek;
     f.seek(std::io::SeekFrom::Start(payload_at as u64))

@@ -1,12 +1,11 @@
 //! The detector registry: the four configurations of Table 2 plus the
 //! bloom-table ablation.
 
-use hard::{HardConfig, HardMachine, HbMachine, HbMachineConfig};
-use hard_hb::{IdealHappensBefore, IdealHbConfig};
-use hard_lockset::bloom_table::{BloomLockset, BloomLocksetConfig};
-use hard_lockset::{IdealLockset, IdealLocksetConfig};
-use hard_obs::ObsHandle;
-use hard_trace::{run_detector_observed, RaceReport, Trace};
+use crate::runner::{run_events, RunLimits, RunOutcome};
+use hard::{HardConfig, HbMachineConfig};
+use hard_lockset::bloom_table::BloomLocksetConfig;
+use hard_lockset::IdealLocksetConfig;
+use hard_trace::{RaceReport, Trace};
 use hard_types::Addr;
 use std::fmt;
 
@@ -111,88 +110,28 @@ pub struct DetectorRun {
 /// injected race's targets) whose metadata-loss status is recorded for
 /// miss classification.
 ///
-/// The process-global observability handle
-/// ([`hard_obs::installed`]) is attached to the hardware machines, so
-/// a `--trace-out` style recorder sees every sweep without per-call
-/// plumbing. With no global recorder installed (the default) this is
-/// bit-identical to the pre-observability behaviour.
+/// This is the runner's dispatch core without limits or containment:
+/// any panic here is a simulator bug and aborts loudly. The
+/// process-global observability handle ([`hard_obs::installed`]) is
+/// attached to the hardware machines, so a `--trace-out` style
+/// recorder sees every sweep without per-call plumbing. With no global
+/// recorder installed (the default) this is bit-identical to the
+/// pre-observability behaviour.
 #[must_use]
 pub fn execute(kind: &DetectorKind, trace: &Trace, probes: &[Addr]) -> DetectorRun {
-    execute_observed(kind, trace, probes, &hard_obs::installed())
-}
-
-/// [`execute`] with an explicit observability handle: the hardware
-/// machines emit their detection-pipeline metrics into `obs`, and
-/// trace events are classified into the per-op-class counters.
-#[must_use]
-pub fn execute_observed(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    obs: &ObsHandle,
-) -> DetectorRun {
-    // Every plain execution credits the process-global bench
-    // accumulator; HARD (the timed detector) also credits its cycles.
-    let run = match kind {
-        DetectorKind::Hard(cfg) => {
-            let mut m = HardMachine::new(*cfg);
-            m.attach_recorder(obs.clone());
-            // HARD is the only detector with a vectorized batch kernel;
-            // route through it when the process-global mode asks for it
-            // and no recorder is watching (the batched path is
-            // bit-identical, so this only moves throughput).
-            let mode = crate::kernel::installed();
-            m.set_lane_kernel(mode.lane_kernel());
-            let reports = if mode.is_batched() && !obs.is_on() {
-                hard_trace::run_detector_batched(&mut m, trace)
-            } else {
-                run_detector_observed(&mut m, trace, obs)
-            };
-            crate::bench::account(trace.len() as u64, m.total_cycles().0);
-            return DetectorRun {
-                reports,
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            };
-        }
-        DetectorKind::LocksetIdeal(cfg) => {
-            let mut d = IdealLockset::new(*cfg);
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
-            }
-        }
-        DetectorKind::HbHw(cfg) => {
-            let mut m = HbMachine::new(*cfg);
-            m.attach_recorder(obs.clone());
-            let reports = run_detector_observed(&mut m, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            }
-        }
-        DetectorKind::HbIdeal { granularity } => {
-            let mut d = IdealHappensBefore::new(IdealHbConfig {
-                num_threads: trace.num_threads,
-                granularity: *granularity,
-            });
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
-            }
-        }
-        DetectorKind::BloomUnbounded(cfg) => {
-            let mut d = BloomLockset::new(*cfg);
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
-            }
-        }
-    };
-    crate::bench::account(trace.len() as u64, 0);
-    run
+    let events = trace.events.iter().copied();
+    let obs = hard_obs::installed();
+    match run_events(
+        kind,
+        trace.num_threads,
+        events,
+        probes,
+        RunLimits::unlimited(),
+        &obs,
+    ) {
+        RunOutcome::Ok(run, _) => run,
+        other => unreachable!("an unlimited, uncontained run completes or panics: {other:?}"),
+    }
 }
 
 #[cfg(test)]

@@ -30,10 +30,9 @@ use crate::campaign::{injected_trace, CampaignConfig};
 use crate::chaos::{ChaosProxy, ChaosSnapshot, NetFaultPlan};
 use crate::corpus::encode_bytes;
 use crate::detectors::DetectorKind;
-use crate::runner::execute_streamed;
-use crate::service::{probe_health, submit_bytes_retrying, RetryPolicy, Submission};
+use crate::service::{probe_health, submit_bytes_retrying, ReportBody, RetryPolicy, Submission};
 use crate::table::TextTable;
-use hard_trace::{ChunkedReader, PackedTrace};
+use hard_trace::PackedTrace;
 use hard_workloads::App;
 use std::io::BufRead;
 use std::time::{Duration, Instant};
@@ -223,8 +222,8 @@ pub(crate) struct Fixture {
 }
 
 /// Builds the corpus fixtures: two applications × two detectors, each
-/// replayed offline through the same [`execute_streamed`] entry point
-/// the server uses, so "expected" is the ground truth by construction.
+/// replayed offline through the same [`crate::StreamFeeder`] the
+/// server uses, so "expected" is the ground truth by construction.
 pub(crate) fn build_fixtures(cfg: &CampaignConfig) -> Result<Vec<Fixture>, String> {
     let specs = [
         (App::WaterNsquared, 0usize, "hard"),
@@ -235,22 +234,7 @@ pub(crate) fn build_fixtures(cfg: &CampaignConfig) -> Result<Vec<Fixture>, Strin
         let (trace, injection) = injected_trace(app, cfg, run_idx);
         let packed = PackedTrace::from_trace(&trace).map_err(|e| format!("pack failed: {e}"))?;
         let corpus = encode_bytes(&packed, Some(&injection));
-        let kind = DetectorKind::parse(detector)?;
-        let (header, payload_at) = crate::corpus::parse_header(&corpus)?;
-        let mut reader = ChunkedReader::spawn(
-            std::io::Cursor::new(corpus[payload_at..].to_vec()),
-            hard_trace::packed_event::DEFAULT_CHUNK_RECORDS,
-        );
-        let (run, events, fnv) = execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
-        if events != header.events || fnv != header.payload_fnv {
-            return Err("fixture replay disagrees with its own header".into());
-        }
-        let expected = crate::ReportBody {
-            label: kind.label().to_string(),
-            events,
-            reports: run.reports,
-        }
-        .encode();
+        let expected = ReportBody::replay(&DetectorKind::parse(detector)?, &corpus)?.encode();
         fixtures.push(Fixture {
             detector: detector.to_string(),
             corpus,

@@ -40,14 +40,13 @@ use crate::campaign::{injected_trace, CampaignConfig};
 use crate::corpus::encode_bytes;
 use crate::detectors::DetectorKind;
 use crate::experiments::chaos::{await_drain, ServeChild};
-use crate::runner::execute_streamed;
-use crate::service::{decode_response, probe_health, Submission};
+use crate::service::{decode_response, probe_health, ReportBody, Submission};
 use crate::table::TextTable;
 use hard_trace::wire::{
     encode_begin, read_frame, read_handshake, write_frame, write_handshake, FrameKind,
     MAX_FRAME_BYTES,
 };
-use hard_trace::{ChunkedReader, PackedTrace};
+use hard_trace::PackedTrace;
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -240,23 +239,8 @@ fn fixture(cfg: &LoadConfig) -> Result<(Vec<u8>, String, u64), String> {
     let (trace, injection) = injected_trace(App::WaterNsquared, &cfg.campaign, 0);
     let packed = PackedTrace::from_trace(&trace).map_err(|e| format!("pack failed: {e}"))?;
     let corpus = encode_bytes(&packed, Some(&injection));
-    let kind = DetectorKind::parse(&cfg.detector)?;
-    let (header, payload_at) = crate::corpus::parse_header(&corpus)?;
-    let mut reader = ChunkedReader::spawn(
-        std::io::Cursor::new(corpus[payload_at..].to_vec()),
-        hard_trace::packed_event::DEFAULT_CHUNK_RECORDS,
-    );
-    let (run, events, fnv) = execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
-    if events != header.events || fnv != header.payload_fnv {
-        return Err("fixture replay disagrees with its own header".into());
-    }
-    let expected = crate::ReportBody {
-        label: kind.label().to_string(),
-        events,
-        reports: run.reports,
-    }
-    .encode();
-    Ok((corpus, expected, events))
+    let body = ReportBody::replay(&DetectorKind::parse(&cfg.detector)?, &corpus)?;
+    Ok((corpus, body.encode(), body.events))
 }
 
 /// `VmHWM` of an arbitrary process, in bytes (the self-probe in

@@ -43,7 +43,9 @@ impl KernelMode {
         }
     }
 
-    /// True if the batched dispatch loop should run.
+    /// True if the batched dispatch loop should run. The machines'
+    /// batched MESI/timing model lives inside their `on_batch`, so it
+    /// engages exactly with this.
     #[must_use]
     pub fn is_batched(self) -> bool {
         // Auto resolves to batch: the equivalence tests pin it
@@ -51,20 +53,6 @@ impl KernelMode {
         // scalar, and the lane kernel below degrades gracefully on
         // hosts without SIMD.
         !matches!(self, KernelMode::Scalar)
-    }
-
-    /// True if the batched MESI/timing model should run.
-    ///
-    /// The batched timing model lives inside the machines' `on_batch`
-    /// (fused hierarchy probes, hot-slot memo, deferred stat flushes),
-    /// so it engages exactly when batched dispatch does — there is no
-    /// separate switch to keep coherent. Runs that must stay per-event
-    /// (fault injection, an attached recorder, deadline observation)
-    /// delegate wholesale inside `on_batch` itself, so they remain
-    /// byte-identical regardless of this mode.
-    #[must_use]
-    pub fn batched_timing(self) -> bool {
-        self.is_batched()
     }
 
     /// The metadata lane kernel this mode implies.
@@ -135,13 +123,6 @@ mod tests {
         assert!(!KernelMode::Scalar.is_batched());
         assert!(KernelMode::Batch.is_batched());
         assert!(KernelMode::Auto.is_batched());
-        for m in [KernelMode::Scalar, KernelMode::Batch, KernelMode::Auto] {
-            assert_eq!(
-                m.batched_timing(),
-                m.is_batched(),
-                "the timing model must engage exactly with batched dispatch"
-            );
-        }
         assert_eq!(KernelMode::Scalar.lane_kernel(), LaneKernel::Scalar);
         assert_eq!(KernelMode::Batch.lane_kernel(), LaneKernel::auto());
         assert_eq!(KernelMode::Auto.lane_kernel(), LaneKernel::auto());

@@ -43,14 +43,13 @@ pub use campaign::{
 pub use chaos::{ChaosProxy, ChaosSnapshot, ChaosStats, FaultyStream, NetFaultPlan};
 pub use checkpoint::Checkpoint;
 pub use corpus::{CorpusCache, CorpusEntry, CorpusStats};
-pub use detectors::{execute, execute_observed, DetectorKind, DetectorRun};
+pub use detectors::{execute, DetectorKind, DetectorRun};
 pub use kernel::KernelMode;
-pub use parallel::{map_cells, TrySubmit, WorkerPool};
+pub use parallel::map_cells;
 pub use report::{OutputFormat, Reporter};
 pub use runner::{
-    execute_hardened, execute_hardened_cell, execute_hardened_cell_observed,
-    execute_hardened_observed, execute_hardened_packed, execute_hardened_packed_observed,
-    execute_streamed, RunLimits, RunMetrics, RunOutcome, StreamFeeder,
+    execute_hardened, execute_hardened_cell, execute_hardened_cell_observed, execute_streamed,
+    RunLimits, RunMetrics, RunOutcome, StreamFeeder,
 };
 pub use service::{HealthSnapshot, ReportBody, RetryPolicy, RetryStats, Submission};
 pub use table::TextTable;

@@ -1,4 +1,11 @@
-//! Hardened campaign execution.
+//! Detector execution: the one dispatch core and its drivers.
+//!
+//! Every detector run in the harness — a materialized or packed
+//! campaign cell, a streamed `replay`, a served upload — goes through
+//! one private dispatch core, so HARD, HB and the ideal detectors see
+//! the same event sequence whichever driver feeds them. The drivers
+//! differ only in where events come from (an iterator for traces,
+//! [`StreamFeeder`] for byte streams) and what wraps them.
 //!
 //! The plain [`execute`](crate::detectors::execute) path is the right
 //! tool for the paper's fault-free tables: any panic there is a
@@ -18,8 +25,8 @@ use hard_lockset::bloom_table::BloomLockset;
 use hard_lockset::IdealLockset;
 use hard_obs::ObsHandle;
 use hard_trace::codec;
-use hard_trace::packed_event::{ChunkedReader, PackedEvent, PackedTrace, RECORD_BYTES};
-use hard_trace::{observe_event, Detector, Trace, TraceEvent, BATCH_EVENTS};
+use hard_trace::packed_event::{ChunkedReader, PackedEvent, RECORD_BYTES};
+use hard_trace::{observe_event, Detector, Op, Trace, TraceEvent, BATCH_EVENTS};
 use hard_types::{Addr, FaultStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -84,15 +91,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// The completed run, if there is one.
-    #[must_use]
-    pub fn ok(&self) -> Option<&DetectorRun> {
-        match self {
-            RunOutcome::Ok(run, _) => Some(run),
-            _ => None,
-        }
-    }
-
     /// True for [`RunOutcome::Faulted`].
     #[must_use]
     pub fn is_faulted(&self) -> bool {
@@ -108,12 +106,11 @@ impl RunOutcome {
 
 /// How often the deadline is checked, in events. Checking per event
 /// would double the dispatch cost for nothing; any overshoot is
-/// bounded by this constant.
+/// bounded by this constant. It equals the batch size, so the check
+/// lands right after each full batch and batched and per-event runs
+/// time out at the same `(events_done, cycles)`.
 const DEADLINE_STRIDE: u64 = 256;
 
-// The batched loop checks deadlines after each full batch; the stride
-// must equal the batch size so batched and per-event runs time out at
-// the same event counts (identical overshoot included).
 const _: () = assert!(DEADLINE_STRIDE == BATCH_EVENTS as u64);
 
 enum AnyDetector {
@@ -227,123 +224,134 @@ impl AnyDetector {
     }
 }
 
-/// The shared bounded dispatch loop, generic over the event source so
-/// the materialized (`&Trace`) and packed/streamed paths run the exact
-/// same code — a detector cannot tell them apart.
-fn run_bounded_events<I: Iterator<Item = TraceEvent>>(
+/// A deadline passed: events consumed and simulated cycles at expiry.
+struct Expired {
+    events_done: u64,
+    cycles: u64,
+}
+
+/// The one dispatch loop every detector run goes through: it owns the
+/// detector, the kernel mode and observability handle latched at
+/// construction, the [`BATCH_EVENTS`] buffer, the global event index
+/// and the deadline. Drivers only differ in where events come from.
+struct DispatchCore {
+    d: AnyDetector,
+    obs: ObsHandle,
+    /// Batched dispatch: the kernel mode asks for it and no recorder is
+    /// on. The observed path stays per-event so trace-level counters
+    /// and detector work interleave exactly as they always have.
+    batched: bool,
+    buf: Vec<TraceEvent>,
+    /// Events pushed so far (the global index of the next one).
+    events: u64,
+    limits: RunLimits,
+}
+
+impl DispatchCore {
+    fn new(kind: &DetectorKind, num_threads: usize, limits: RunLimits, obs: ObsHandle) -> Self {
+        let batched = kernel::installed().is_batched() && !obs.is_on();
+        DispatchCore {
+            d: AnyDetector::build(kind, num_threads, &obs),
+            obs,
+            batched,
+            buf: Vec::with_capacity(if batched { BATCH_EVENTS } else { 0 }),
+            events: 0,
+            limits,
+        }
+    }
+
+    /// Dispatches one event, or buffers it until a batch is full.
+    ///
+    /// # Errors
+    ///
+    /// [`Expired`] once a deadline has passed; the run is over.
+    fn push(&mut self, e: TraceEvent) -> Result<(), Expired> {
+        let index = self.events as usize;
+        self.events += 1;
+        if self.batched {
+            self.buf.push(e);
+            if self.buf.len() == BATCH_EVENTS {
+                self.flush();
+            }
+        } else {
+            if self.obs.is_on() {
+                observe_event(&self.obs, &e);
+            }
+            self.d.on_event(index, &e);
+        }
+        if self.events.is_multiple_of(DEADLINE_STRIDE) {
+            self.deadline_check()?;
+        }
+        Ok(())
+    }
+
+    /// Hands the buffered events to the detector's batch kernel.
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            let base = self.events as usize - self.buf.len();
+            self.d.on_batch(base, &self.buf);
+            self.buf.clear();
+        }
+    }
+
+    fn deadline_check(&self) -> Result<(), Expired> {
+        if self.limits.max_events.is_some_and(|max| self.events >= max)
+            || self
+                .limits
+                .max_cycles
+                .is_some_and(|max| self.d.cycles() >= max)
+        {
+            return Err(Expired {
+                events_done: self.events,
+                cycles: self.d.cycles(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Dispatches the tail batch and wraps up the completed run with
+    /// its resource metrics, crediting it to the bench accumulator.
+    fn finish(mut self, probes: &[Addr]) -> (DetectorRun, RunMetrics) {
+        self.flush();
+        let (meta_broadcasts, l2_evictions) = self.d.traffic();
+        let metrics = RunMetrics {
+            faults: self.d.fault_stats(),
+            cycles: self.d.cycles(),
+            events: self.events,
+            meta_broadcasts,
+            l2_evictions,
+        };
+        crate::bench::account(metrics.events, metrics.cycles);
+        (self.d.finish(probes), metrics)
+    }
+}
+
+/// Feeds `events` through a fresh [`DispatchCore`]: the driver for
+/// materialized and packed traces alike, so a detector cannot tell
+/// them apart.
+pub(crate) fn run_events(
     kind: &DetectorKind,
     num_threads: usize,
-    events: I,
+    events: impl Iterator<Item = TraceEvent>,
     probes: &[Addr],
     limits: RunLimits,
     obs: &ObsHandle,
 ) -> RunOutcome {
-    let mut d = AnyDetector::build(kind, num_threads, obs);
-    // The observed path stays per-event so trace-level counters and
-    // detector work interleave exactly as they always have; the batch
-    // kernel is a throughput lever for the unobserved hot path.
-    if kernel::installed().is_batched() && !obs.is_on() {
-        return run_bounded_batched(d, events, probes, limits);
-    }
-    let observing = obs.is_on();
-    let mut events_done = 0u64;
-    for (index, e) in events.enumerate() {
-        if observing {
-            observe_event(obs, &e);
-        }
-        d.on_event(index, &e);
-        events_done += 1;
-        if events_done.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(timed_out) = deadline_check(&d, limits, events_done) {
-                return timed_out;
-            }
-        }
-    }
-    finish_run(d, probes, events_done)
-}
-
-/// The batched bounded loop: events are decoded/copied into one
-/// recycled [`BATCH_EVENTS`]-sized buffer and dispatched through
-/// [`Detector::on_batch`]. Deadlines are checked after each full batch
-/// — the same `events_done` multiples as the per-event loop, so both
-/// paths time out with identical `(events_done, cycles)`.
-fn run_bounded_batched<I: Iterator<Item = TraceEvent>>(
-    mut d: AnyDetector,
-    mut events: I,
-    probes: &[Addr],
-    limits: RunLimits,
-) -> RunOutcome {
-    let mut buf: Vec<TraceEvent> = Vec::with_capacity(BATCH_EVENTS);
-    let mut events_done = 0u64;
-    let mut index = 0usize;
-    loop {
-        buf.clear();
-        buf.extend(events.by_ref().take(BATCH_EVENTS));
-        if buf.is_empty() {
-            break;
-        }
-        d.on_batch(index, &buf);
-        index += buf.len();
-        events_done += buf.len() as u64;
-        if events_done.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(timed_out) = deadline_check(&d, limits, events_done) {
-                return timed_out;
-            }
-        }
-    }
-    finish_run(d, probes, events_done)
-}
-
-/// One deadline probe, shared by both dispatch loops.
-fn deadline_check(d: &AnyDetector, limits: RunLimits, events_done: u64) -> Option<RunOutcome> {
-    if let Some(max) = limits.max_events {
-        if events_done >= max {
-            return Some(RunOutcome::TimedOut {
+    let mut core = DispatchCore::new(kind, num_threads, limits, obs.clone());
+    for e in events {
+        if let Err(Expired {
+            events_done,
+            cycles,
+        }) = core.push(e)
+        {
+            return RunOutcome::TimedOut {
                 events_done,
-                cycles: d.cycles(),
-            });
+                cycles,
+            };
         }
     }
-    if let Some(max) = limits.max_cycles {
-        let c = d.cycles();
-        if c >= max {
-            return Some(RunOutcome::TimedOut {
-                events_done,
-                cycles: c,
-            });
-        }
-    }
-    None
-}
-
-/// Wraps up a completed run with its resource metrics.
-fn finish_run(d: AnyDetector, probes: &[Addr], events_done: u64) -> RunOutcome {
-    let (meta_broadcasts, l2_evictions) = d.traffic();
-    let metrics = RunMetrics {
-        faults: d.fault_stats(),
-        cycles: d.cycles(),
-        events: events_done,
-        meta_broadcasts,
-        l2_evictions,
-    };
-    RunOutcome::Ok(d.finish(probes), metrics)
-}
-
-fn run_bounded(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    run_bounded_events(
-        kind,
-        trace.num_threads,
-        trace.events.iter().copied(),
-        probes,
-        limits,
-        obs,
-    )
+    let (run, metrics) = core.finish(probes);
+    RunOutcome::Ok(run, metrics)
 }
 
 /// Runs `kind` over `trace` with panic isolation and deadlines, using
@@ -360,57 +368,15 @@ pub fn execute_hardened(
     probes: &[Addr],
     limits: RunLimits,
 ) -> RunOutcome {
-    execute_hardened_observed(kind, trace, probes, limits, &hard_obs::installed())
-}
-
-/// [`execute_hardened`] with an explicit observability handle: the
-/// whole run is wrapped in a `run:<detector>` span carrying
-/// cycle/event attribution, trace events are classified into
-/// per-op-class counters, and the hardware machines emit their
-/// detection-pipeline metrics.
-#[must_use]
-pub fn execute_hardened_observed(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    hardened(kind, obs, || run_bounded(kind, trace, probes, limits, obs))
-}
-
-/// [`execute_hardened`] over a packed trace: the detector consumes the
-/// record buffer directly through the streaming iterator — no
-/// `Vec<TraceEvent>` is materialized — and observes the identical
-/// event sequence, so reports and metrics match the materialized path
-/// bit for bit.
-#[must_use]
-pub fn execute_hardened_packed(
-    kind: &DetectorKind,
-    trace: &PackedTrace,
-    probes: &[Addr],
-    limits: RunLimits,
-) -> RunOutcome {
-    execute_hardened_packed_observed(kind, trace, probes, limits, &hard_obs::installed())
-}
-
-/// [`execute_hardened_packed`] with an explicit observability handle.
-#[must_use]
-pub fn execute_hardened_packed_observed(
-    kind: &DetectorKind,
-    trace: &PackedTrace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    hardened(kind, obs, || {
-        run_bounded_events(kind, trace.num_threads(), trace.iter(), probes, limits, obs)
-    })
+    let events = trace.events.iter().copied();
+    let obs = hard_obs::installed();
+    hardened(kind, trace.num_threads, events, probes, limits, &obs)
 }
 
 /// [`execute_hardened`] over whichever representation the campaign
-/// produced ([`CellTrace`]): materialized traces take the classic
-/// path, corpus-served traces replay streamed.
+/// produced ([`CellTrace`]): a packed trace is decoded record by record
+/// on the stack, never materialized, and the detector observes the
+/// identical event sequence either way.
 #[must_use]
 pub fn execute_hardened_cell(
     kind: &DetectorKind,
@@ -421,7 +387,11 @@ pub fn execute_hardened_cell(
     execute_hardened_cell_observed(kind, trace, probes, limits, &hard_obs::installed())
 }
 
-/// [`execute_hardened_cell`] with an explicit observability handle.
+/// [`execute_hardened_cell`] with an explicit observability handle: the
+/// whole run is wrapped in a `run:<detector>` span carrying
+/// cycle/event attribution, trace events are classified into
+/// per-op-class counters, and the hardware machines emit their
+/// detection-pipeline metrics.
 #[must_use]
 pub fn execute_hardened_cell_observed(
     kind: &DetectorKind,
@@ -431,16 +401,27 @@ pub fn execute_hardened_cell_observed(
     obs: &ObsHandle,
 ) -> RunOutcome {
     match trace {
-        CellTrace::Materialized(t) => execute_hardened_observed(kind, t, probes, limits, obs),
-        CellTrace::Packed(p) => execute_hardened_packed_observed(kind, p, probes, limits, obs),
+        CellTrace::Materialized(t) => {
+            let events = t.events.iter().copied();
+            hardened(kind, t.num_threads, events, probes, limits, obs)
+        }
+        CellTrace::Packed(p) => hardened(kind, p.num_threads(), p.iter(), probes, limits, obs),
     }
 }
 
-/// The shared containment wrapper: `run:<detector>` span, panic
-/// isolation, and bench accounting around whichever dispatch loop
-/// `run` drives.
-fn hardened(kind: &DetectorKind, obs: &ObsHandle, run: impl FnOnce() -> RunOutcome) -> RunOutcome {
+/// [`run_events`] inside the containment every hardened run gets:
+/// `run:<detector>` span, panic isolation, and bench accounting for
+/// the runs that never reach [`DispatchCore::finish`].
+fn hardened(
+    kind: &DetectorKind,
+    num_threads: usize,
+    events: impl Iterator<Item = TraceEvent>,
+    probes: &[Addr],
+    limits: RunLimits,
+    obs: &ObsHandle,
+) -> RunOutcome {
     let timer = obs.span(|| format!("run:{}", kind.label()));
+    let run = || run_events(kind, num_threads, events, probes, limits, obs);
     let outcome = match catch_unwind(AssertUnwindSafe(run)) {
         Ok(outcome) => outcome,
         Err(payload) => {
@@ -460,16 +441,17 @@ fn hardened(kind: &DetectorKind, obs: &ObsHandle, run: impl FnOnce() -> RunOutco
         } => (*cycles, *events_done),
         RunOutcome::Faulted { .. } => (0, 0),
     };
+    if !matches!(outcome, RunOutcome::Ok(..)) {
+        crate::bench::account(events, cycles);
+    }
     obs.span_end(timer, cycles, events);
-    crate::bench::account(events, cycles);
     outcome
 }
 
 /// Replays a file-backed packed record stream through `kind` without
 /// ever holding the payload in memory: the double-buffered
-/// [`ChunkedReader`] overlaps disk reads with detection, each record
-/// decodes on the stack, and the payload FNV-1a accumulates chunk by
-/// chunk for the caller to compare against the file header.
+/// [`ChunkedReader`] overlaps disk reads with detection while a
+/// [`StreamFeeder`] decodes and dispatches each chunk.
 ///
 /// Returns the completed run, the number of events dispatched and the
 /// accumulated payload hash.
@@ -483,139 +465,84 @@ pub fn execute_streamed(
     num_threads: usize,
     reader: &mut ChunkedReader,
 ) -> Result<(DetectorRun, u64, u64), String> {
-    let obs = hard_obs::installed();
-    let observing = obs.is_on();
-    let batched = kernel::installed().is_batched() && !observing;
-    let mut d = AnyDetector::build(kind, num_threads, &obs);
-    let mut buf: Vec<TraceEvent> = Vec::with_capacity(if batched { BATCH_EVENTS } else { 0 });
-    // `index` counts decoded records (error messages, final total);
-    // `base` is the global index of the first event buffered but not
-    // yet dispatched.
-    let mut index = 0usize;
-    let mut base = 0usize;
-    let mut fnv = codec::FNV1A_INIT;
+    let mut feeder = StreamFeeder::new(kind, num_threads);
     while let Some(chunk) = reader.next_chunk() {
         let chunk = chunk.map_err(|e| format!("stream read failed: {e}"))?;
-        fnv = codec::fnv1a_update(fnv, &chunk);
-        if !chunk.len().is_multiple_of(RECORD_BYTES) {
-            return Err(format!(
-                "stream ends mid-record ({} bytes over)",
-                chunk.len() % RECORD_BYTES
-            ));
-        }
-        for rec in chunk.chunks_exact(RECORD_BYTES) {
-            let e = PackedEvent::from_bytes(rec.try_into().expect("16-byte record"))
-                .unpack()
-                .map_err(|e| format!("record {index}: {e}"))?;
-            if observing {
-                observe_event(&obs, &e);
-            }
-            if batched {
-                buf.push(e);
-                if buf.len() == BATCH_EVENTS {
-                    d.on_batch(base, &buf);
-                    base += buf.len();
-                    buf.clear();
-                }
-            } else {
-                d.on_event(index, &e);
-            }
-            index += 1;
-        }
+        feeder.feed(&chunk)?;
     }
-    if batched && !buf.is_empty() {
-        d.on_batch(base, &buf);
-    }
-    let events = index as u64;
-    crate::bench::account(events, d.cycles());
-    Ok((d.finish(&[]), events, fnv))
+    feeder.finish()
 }
 
-/// [`execute_streamed`], inverted into a push-style feeder for the
-/// async serve tier: the caller hands over packed-record bytes *as
-/// they arrive off the wire* — any chunking, record-aligned or not —
-/// and the detector consumes them incrementally, so a session's
-/// memory footprint is one wire chunk plus detector state, never the
-/// whole trace.
+/// The push-style driver over the dispatch core for byte streams: the
+/// caller hands over packed-record bytes *as they arrive* — off the
+/// wire in the async serve tier, off disk in [`execute_streamed`] — in
+/// any chunking, record-aligned or not, and the detector consumes them
+/// incrementally, so a session's memory footprint is one chunk plus
+/// detector state, never the whole trace.
 ///
-/// Equivalence contract: for the same byte sequence,
-/// [`StreamFeeder::finish`] returns exactly what [`execute_streamed`]
-/// returns — same reports, same event count, same payload FNV, same
-/// error strings at the same record indices — regardless of how the
-/// bytes were split across [`StreamFeeder::feed`] calls. The batched
-/// kernel's 256-event windows are buffered across chunk boundaries
-/// internally, which is what makes the result chunking-invariant.
+/// For the same byte sequence [`StreamFeeder::finish`] returns the
+/// same reports, event count, payload FNV and error strings at the
+/// same record indices regardless of how the bytes were split across
+/// [`StreamFeeder::feed`] calls: a partial record is carried to the
+/// next call, and the batch kernel's windows live in the core.
 pub struct StreamFeeder {
-    d: AnyDetector,
-    obs: ObsHandle,
-    observing: bool,
-    batched: bool,
-    buf: Vec<TraceEvent>,
+    core: DispatchCore,
+    num_threads: usize,
     /// Partial record carried across a feed boundary.
     carry: [u8; RECORD_BYTES],
     carry_len: usize,
-    index: usize,
-    base: usize,
     fnv: u64,
 }
 
 impl StreamFeeder {
-    /// Builds the detector for `kind` and an empty feed state. Kernel
-    /// mode is latched here, exactly as [`execute_streamed`] latches
-    /// it at entry.
+    /// Builds the detector for `kind` and an empty feed state, latching
+    /// the kernel mode and the process-global observability handle.
     #[must_use]
     pub fn new(kind: &DetectorKind, num_threads: usize) -> StreamFeeder {
         let obs = hard_obs::installed();
-        let observing = obs.is_on();
-        let batched = kernel::installed().is_batched() && !observing;
         StreamFeeder {
-            d: AnyDetector::build(kind, num_threads, &obs),
-            obs,
-            observing,
-            batched,
-            buf: Vec::with_capacity(if batched { BATCH_EVENTS } else { 0 }),
+            core: DispatchCore::new(kind, num_threads, RunLimits::unlimited(), obs),
+            num_threads,
             carry: [0u8; RECORD_BYTES],
             carry_len: 0,
-            index: 0,
-            base: 0,
             fnv: codec::FNV1A_INIT,
         }
     }
 
-    /// Events dispatched so far.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.index as u64
-    }
-
-    fn dispatch(&mut self, rec: &[u8; RECORD_BYTES]) -> Result<(), String> {
+    fn decode(&mut self, rec: &[u8; RECORD_BYTES]) -> Result<(), String> {
+        let index = self.core.events;
         let e = PackedEvent::from_bytes(rec)
             .unpack()
-            .map_err(|e| format!("record {}: {e}", self.index))?;
-        if self.observing {
-            observe_event(&self.obs, &e);
-        }
-        if self.batched {
-            self.buf.push(e);
-            if self.buf.len() == BATCH_EVENTS {
-                self.d.on_batch(self.base, &self.buf);
-                self.base += self.buf.len();
-                self.buf.clear();
+            .map_err(|e| format!("record {index}: {e}"))?;
+        // Detectors size per-thread state by the thread ids they see,
+        // so a record naming a thread the header does not declare is
+        // rejected here, as `Trace::validate` rejects it for codec
+        // traces.
+        if let TraceEvent::Op { thread, op } = e {
+            let child = match op {
+                Op::Fork { child, .. } | Op::Join { child, .. } => Some(child),
+                _ => None,
+            };
+            if let Some(t) = std::iter::once(thread)
+                .chain(child)
+                .find(|t| t.index() >= self.num_threads)
+            {
+                return Err(format!("record {index}: thread {t} out of range"));
             }
-        } else {
-            self.d.on_event(self.index, &e);
         }
-        self.index += 1;
+        // The core runs without deadlines, so `push` never times out.
+        let _ = self.core.push(e);
         Ok(())
     }
 
-    /// Consumes the next chunk of packed-record bytes.
+    /// Consumes the next chunk of packed-record bytes. Every whole
+    /// record is decoded before a trailing partial one is judged (at
+    /// [`StreamFeeder::finish`]).
     ///
     /// # Errors
     ///
-    /// Returns `record {index}: {cause}` for an undecodable record,
-    /// matching [`execute_streamed`]. After an error the feeder state
-    /// is spent; callers drop it.
+    /// Returns `record {index}: {cause}` for an undecodable record.
+    /// After an error the feeder state is spent; callers drop it.
     pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), String> {
         self.fnv = codec::fnv1a_update(self.fnv, bytes);
         if self.carry_len > 0 {
@@ -629,11 +556,11 @@ impl StreamFeeder {
             }
             let rec = self.carry;
             self.carry_len = 0;
-            self.dispatch(&rec)?;
+            self.decode(&rec)?;
         }
         let whole = bytes.len() - bytes.len() % RECORD_BYTES;
         for rec in bytes[..whole].chunks_exact(RECORD_BYTES) {
-            self.dispatch(rec.try_into().expect("16-byte record"))?;
+            self.decode(rec.try_into().expect("16-byte record"))?;
         }
         let tail = &bytes[whole..];
         self.carry[..tail.len()].copy_from_slice(tail);
@@ -641,28 +568,22 @@ impl StreamFeeder {
         Ok(())
     }
 
-    /// Completes the stream: flushes the partial batch, accounts the
-    /// run, and returns `(run, events, payload_fnv)` exactly as
-    /// [`execute_streamed`] would.
+    /// Completes the stream: dispatches the tail batch, accounts the
+    /// run, and returns `(run, events, payload_fnv)`.
     ///
     /// # Errors
     ///
     /// `stream ends mid-record (N bytes over)` when the byte total is
-    /// not a whole number of records — the same message the pull path
-    /// produces for a truncated stream.
-    pub fn finish(mut self) -> Result<(DetectorRun, u64, u64), String> {
+    /// not a whole number of records.
+    pub fn finish(self) -> Result<(DetectorRun, u64, u64), String> {
         if self.carry_len != 0 {
             return Err(format!(
                 "stream ends mid-record ({} bytes over)",
                 self.carry_len
             ));
         }
-        if self.batched && !self.buf.is_empty() {
-            self.d.on_batch(self.base, &self.buf);
-        }
-        let events = self.index as u64;
-        crate::bench::account(events, self.d.cycles());
-        Ok((self.d.finish(&[]), events, self.fnv))
+        let (run, metrics) = self.core.finish(&[]);
+        Ok((run, metrics.events, self.fnv))
     }
 }
 
@@ -671,7 +592,7 @@ mod tests {
     use super::*;
     use crate::detectors::execute;
     use hard::HardConfig;
-    use hard_trace::{ProgramBuilder, SchedConfig, Scheduler};
+    use hard_trace::{PackedTrace, ProgramBuilder, SchedConfig, Scheduler};
     use hard_types::{FaultPlan, SiteId};
 
     fn racy_trace() -> Trace {
@@ -792,8 +713,13 @@ mod tests {
         let plain = execute_hardened(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited());
         let rec = Arc::new(MemoryRecorder::new());
         let obs = ObsHandle::new(rec.clone());
-        let observed =
-            execute_hardened_observed(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited(), &obs);
+        let observed = execute_hardened_cell_observed(
+            &kind,
+            &CellTrace::Materialized(trace.clone()),
+            &[Addr(0x1000)],
+            RunLimits::unlimited(),
+            &obs,
+        );
         let (RunOutcome::Ok(a, ma), RunOutcome::Ok(b, mb)) = (&plain, &observed) else {
             panic!("both must complete");
         };
@@ -824,7 +750,9 @@ mod tests {
     fn batch_kernel_mode_is_bit_identical_to_scalar() {
         use crate::kernel::KernelMode;
         let trace = racy_trace();
-        let packed = PackedTrace::from_trace(&trace).unwrap();
+        let packed = CellTrace::Packed(std::sync::Arc::new(
+            PackedTrace::from_trace(&trace).unwrap(),
+        ));
         let probes = [Addr(0x1000)];
         for kind in [
             DetectorKind::hard_default(),
@@ -836,7 +764,7 @@ mod tests {
                 with_kernel_mode(mode, || {
                     (
                         execute_hardened(&kind, &trace, &probes, RunLimits::unlimited()),
-                        execute_hardened_packed(&kind, &packed, &probes, RunLimits::unlimited()),
+                        execute_hardened_cell(&kind, &packed, &probes, RunLimits::unlimited()),
                     )
                 })
             };
@@ -961,6 +889,34 @@ mod tests {
             .expect_err("mid-record stream must fail");
         assert_eq!(err, pull_err);
         assert!(err.contains("mid-record"), "{err}");
+
+        // A corrupt record and a partial one in the same final chunk:
+        // every whole record is decoded before the tail is judged, on
+        // the served and the offline path alike.
+        let mut corrupt = packed.bytes().to_vec();
+        corrupt[10 * RECORD_BYTES] = (corrupt[10 * RECORD_BYTES] & 0xF0) | 9;
+        corrupt.extend_from_slice(&[0u8; 3]);
+        let mut feeder = StreamFeeder::new(&kind, trace.num_threads);
+        let err = feeder.feed(&corrupt).expect_err("corrupt record must fail");
+        let mut reader = ChunkedReader::spawn(
+            std::io::Cursor::new(corrupt),
+            hard_trace::packed_event::DEFAULT_CHUNK_RECORDS,
+        );
+        let pull_err = execute_streamed(&kind, trace.num_threads, &mut reader)
+            .expect_err("corrupt record must fail");
+        assert_eq!(err, pull_err);
+        assert_eq!(err, "record 10: unknown packed event tag 9");
+    }
+
+    #[test]
+    fn stream_feeder_rejects_threads_the_header_does_not_declare() {
+        let trace = racy_trace();
+        let packed = PackedTrace::from_trace(&trace).unwrap();
+        let mut feeder = StreamFeeder::new(&DetectorKind::hard_default(), 1);
+        let err = feeder
+            .feed(packed.bytes())
+            .expect_err("a 1-thread header cannot carry thread 1");
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! hash: a retried upload of the same bytes is answered from cache,
 //! not re-detected, so retries cannot change the answer (idempotence).
 
+use crate::corpus;
+use crate::detectors::DetectorKind;
+use crate::runner::StreamFeeder;
 use hard_obs::jsonl::{self, Json};
 use hard_obs::CounterId;
 use hard_trace::wire::{
@@ -48,6 +51,26 @@ pub struct ReportBody {
 }
 
 impl ReportBody {
+    /// The report an offline replay of the `HARDCRP1` upload `corpus`
+    /// renders for `kind`: what a served session must answer with.
+    ///
+    /// # Errors
+    ///
+    /// Describes a damaged header, an undecodable record, or a payload
+    /// that disagrees with its header.
+    pub fn replay(kind: &DetectorKind, corpus: &[u8]) -> Result<ReportBody, String> {
+        let (header, payload_at) = corpus::parse_header(corpus)?;
+        let mut feeder = StreamFeeder::new(kind, header.num_threads as usize);
+        feeder.feed(&corpus[payload_at..])?;
+        let (run, events, fnv) = feeder.finish()?;
+        header.verify(events, fnv)?;
+        Ok(ReportBody {
+            label: kind.label().to_string(),
+            events,
+            reports: run.reports,
+        })
+    }
+
     /// Encodes the body as one deterministic JSON object. Key order is
     /// fixed by construction, so equal bodies encode to equal bytes —
     /// the property the serve report cache and the byte-identity tests

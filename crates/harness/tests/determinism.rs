@@ -128,12 +128,13 @@ fn packed_replay_matches_materialized_for_every_detector() {
     // The streamed/packed path must be indistinguishable from the
     // materialized path: same reports, same meta_lost, for all four
     // Table 2 detectors — this is what makes the corpus cache safe.
-    use hard_harness::runner::execute_hardened_packed;
+    use hard_harness::{execute_hardened_cell, CellTrace};
     use hard_trace::PackedTrace;
     for app in [App::WaterNsquared, App::Barnes] {
         let (trace, injection) = injected_trace(app, &reduced(1), 0);
         let pr = probes(&injection);
         let packed = PackedTrace::from_trace(&trace).expect("generated traces always pack");
+        let packed = CellTrace::Packed(std::sync::Arc::new(packed));
         for kind in [
             DetectorKind::hard_default(),
             DetectorKind::lockset_ideal(),
@@ -144,7 +145,7 @@ fn packed_replay_matches_materialized_for_every_detector() {
                 RunOutcome::Ok(run, _) => run,
                 other => panic!("{app}: materialized run must complete, got {other:?}"),
             };
-            let b = match execute_hardened_packed(&kind, &packed, &pr, RunLimits::unlimited()) {
+            let b = match execute_hardened_cell(&kind, &packed, &pr, RunLimits::unlimited()) {
                 RunOutcome::Ok(run, _) => run,
                 other => panic!("{app}: packed run must complete, got {other:?}"),
             };

@@ -7,12 +7,11 @@
 //! format `hard-exp record --packed` writes and `hard-exp replay`
 //! consumes) from concurrent clients and answers each session with a
 //! structured JSON [`hard_harness::ReportBody`]. Because the server
-//! and the offline replay drive the same detector entry points
-//! ([`hard_harness::StreamFeeder`] replicates
-//! [`hard_harness::execute_streamed`] chunk by chunk, with equivalence
-//! pinned by tests), a served report is byte-identical to
-//! `hard-exp replay` on the same file — CI diffs the two outputs
-//! directly.
+//! and the offline replay drive the same code
+//! ([`hard_harness::execute_streamed`] is a loop feeding disk chunks
+//! to the [`hard_harness::StreamFeeder`] each session owns), a served
+//! report is byte-identical to `hard-exp replay` on the same file —
+//! CI diffs the two outputs directly.
 //!
 //! # Async, incremental architecture
 //!
@@ -99,7 +98,7 @@
 
 #![warn(missing_docs)]
 
-use hard_harness::corpus::{parse_header, StreamHeader, CORPUS_MAGIC};
+use hard_harness::corpus::{header_len, parse_header, StreamHeader, CORPUS_MAGIC};
 use hard_harness::service::send_frame;
 use hard_harness::{DetectorKind, ReportBody, StreamFeeder};
 use hard_obs::{CounterId, Event, GaugeId, HistId, ObsHandle};
@@ -1085,12 +1084,7 @@ impl Ingest {
                         IngestState::Failed("upload is not a HARDCRP1 corpus stream".into());
                     return;
                 }
-                if head.len() < 24 {
-                    return;
-                }
-                let inj_len =
-                    u32::from_le_bytes(head[20..24].try_into().expect("4 bytes")) as usize;
-                if head.len() < 24 + inj_len + 16 {
+                if header_len(head).is_none_or(|n| head.len() < n) {
                     return;
                 }
                 std::mem::take(head)
@@ -1230,15 +1224,7 @@ async fn finish_session(
     shared.gate.load.fetch_sub(1, Ordering::AcqRel);
 
     let result = finished.and_then(|(run, events, fnv)| {
-        if events != header.events {
-            return Err(format!(
-                "stream ended after {events} of {} events",
-                header.events
-            ));
-        }
-        if fnv != header.payload_fnv {
-            return Err("payload checksum mismatch after replay".into());
-        }
+        header.verify(events, fnv)?;
         Ok(ReportBody {
             label: sess.kind.label().to_string(),
             events,

@@ -3,7 +3,7 @@
 
 use crate::event::{Trace, TraceEvent};
 use crate::op::Op;
-use crate::packed_event::{PackedTrace, BATCH_EVENTS};
+use crate::packed_event::BATCH_EVENTS;
 use hard_obs::{CounterId, ObsHandle};
 use hard_types::{AccessKind, Addr, SiteId, ThreadId};
 use std::fmt;
@@ -109,19 +109,6 @@ pub fn run_detector<D: Detector + ?Sized>(detector: &mut D, trace: &Trace) -> Ve
     detector.reports().to_vec()
 }
 
-/// [`run_detector`] over a packed trace: events are decoded one at a
-/// time on the stack as the buffer is walked — the `Vec<TraceEvent>`
-/// of wide enum records is never materialized.
-pub fn run_detector_streamed<D: Detector + ?Sized>(
-    detector: &mut D,
-    trace: &PackedTrace,
-) -> Vec<RaceReport> {
-    for (i, e) in trace.iter().enumerate() {
-        detector.on_event(i, &e);
-    }
-    detector.reports().to_vec()
-}
-
 /// [`run_detector`] through the batch kernel: events are handed to
 /// [`Detector::on_batch`] in [`BATCH_EVENTS`]-sized runs. Produces the
 /// same reports as `run_detector` for any conforming detector.
@@ -133,23 +120,6 @@ pub fn run_detector_batched<D: Detector + ?Sized>(
     for chunk in trace.events.chunks(BATCH_EVENTS) {
         detector.on_batch(index, chunk);
         index += chunk.len();
-    }
-    detector.reports().to_vec()
-}
-
-/// [`run_detector_streamed`] through the batch kernel: records are
-/// decoded [`BATCH_EVENTS`] at a time into one recycled buffer
-/// ([`PackedTrace::decode_batch`]) and dispatched via
-/// [`Detector::on_batch`].
-pub fn run_detector_streamed_batched<D: Detector + ?Sized>(
-    detector: &mut D,
-    trace: &PackedTrace,
-) -> Vec<RaceReport> {
-    let mut buf = Vec::with_capacity(BATCH_EVENTS);
-    let mut index = 0;
-    while trace.decode_batch(index, &mut buf) > 0 {
-        detector.on_batch(index, &buf);
-        index += buf.len();
     }
     detector.reports().to_vec()
 }
@@ -196,6 +166,7 @@ pub fn run_detector_observed<D: Detector + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed_event::PackedTrace;
     use crate::program::ProgramBuilder;
     use crate::sched::{SchedConfig, Scheduler};
 
@@ -236,7 +207,12 @@ mod tests {
         run_detector_batched(&mut batched, &trace);
         assert_eq!(scalar.0, batched.0);
         let mut streamed = Recorder::default();
-        run_detector_streamed_batched(&mut streamed, &packed);
+        let mut buf = Vec::with_capacity(BATCH_EVENTS);
+        let mut index = 0;
+        while packed.decode_batch(index, &mut buf) > 0 {
+            streamed.on_batch(index, &buf);
+            index += buf.len();
+        }
         assert_eq!(scalar.0, streamed.0);
     }
 

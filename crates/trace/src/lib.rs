@@ -52,8 +52,7 @@ pub mod stats;
 pub mod wire;
 
 pub use detect::{
-    observe_event, run_detector, run_detector_batched, run_detector_observed,
-    run_detector_streamed, run_detector_streamed_batched, Detector, RaceReport,
+    observe_event, run_detector, run_detector_batched, run_detector_observed, Detector, RaceReport,
 };
 pub use event::{Trace, TraceEvent};
 pub use op::Op;
